@@ -32,7 +32,8 @@ def run(reuse):
     program = assemble(SOURCE, name="trace_demo")
     tracer = PipelineTracer()
     config = MachineConfig().with_iq_size(32).replace(reuse_enabled=reuse)
-    pipeline = Pipeline(program, config, tracer=tracer)
+    pipeline = Pipeline(program, config)
+    pipeline.attach_probe(tracer)
     pipeline.run()
     return pipeline, tracer
 

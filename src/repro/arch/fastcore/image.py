@@ -368,7 +368,7 @@ class CoreImage:
         "program", "text_base", "text_size", "count",
         "insts", "ops", "flags", "ctrl", "fu", "lat", "busy",
         "dest", "src0", "src1", "nsrc", "ea_imm", "target",
-        "loop_size", "memsize", "exec_fn", "br_fn", "ld_fn", "st_fn",
+        "memsize", "exec_fn", "br_fn", "ld_fn", "st_fn",
         "pcs", "bucket",
     )
 
@@ -392,7 +392,6 @@ class CoreImage:
         nsrc = [0] * n
         ea_imm = [0] * n
         target = [-1] * n
-        loop_size = [0] * n
         memsize = [0] * n
         pcs = [0] * n
         bucket = [0] * n        # REUSE_TYPE_BUCKETS index per slot
@@ -433,8 +432,6 @@ class CoreImage:
             if (icls in (InstrClass.BRANCH, InstrClass.JUMP)
                     and inst.target is not None and inst.target <= inst.pc):
                 f |= F_BACKWARD
-                loop_size[i] = ((inst.pc - inst.target)
-                                // INSTRUCTION_BYTES + 1)
             fu[i] = _FU_CODES[op.fu]
             lat[i] = op.latency
             busy[i] = op.latency if op in NON_PIPELINED_OPS else 1
@@ -465,7 +462,6 @@ class CoreImage:
         self.nsrc = nsrc
         self.ea_imm = ea_imm
         self.target = target
-        self.loop_size = loop_size
         self.memsize = memsize
         self.exec_fn = exec_fn
         self.br_fn = br_fn

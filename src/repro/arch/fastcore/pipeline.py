@@ -2,9 +2,9 @@
 
 :class:`FastPipeline` executes the exact machine of
 :class:`repro.arch.pipeline.Pipeline` -- same reverse stage order, same
-stall rules, same reuse-controller state machine, same statistics -- but
-keeps every piece of in-flight state in preallocated parallel columns
-indexed by integer slot id instead of per-instruction objects:
+stall rules, same statistics -- but keeps every piece of in-flight state
+in preallocated parallel columns indexed by integer slot id instead of
+per-instruction objects:
 
 * dynamic instructions (the ROB/rename/LSQ payload) live in ``_d_*``
   columns; a *dyn slot* is recycled through a free list the moment its
@@ -31,9 +31,14 @@ indexed by integer slot id instead of per-instruction objects:
   like the object core's late store-data read.
 
 Leaf models with no per-instruction churn -- the memory hierarchy, the
-branch predictor, the loop cache, the NBLT, the LRL, functional memory
-and the architectural register file -- are the *real* objects shared
-with the object core, so timing and counters agree to the byte.
+branch predictor, the loop cache, functional memory and the architectural
+register file -- are the *real* objects shared with the object core, so
+timing and counters agree to the byte.  So is the reuse controller: the
+core builds the same :func:`repro.core.controller_for` instance as the
+object core and hands it entry-slot ints as issue-queue handles, through
+the ``occupancy`` / ``resident`` / ``release`` host interface below.
+Only the Code Reuse dispatch loop (the reuse-pointer walk) is inlined
+into the hot path.
 
 Probes need per-instruction lifecycle objects, so a probe attached
 before the first cycle transparently swaps in a delegate object core;
@@ -51,14 +56,12 @@ from repro.arch.branch.predictor import BranchPredictor
 from repro.arch.config import MachineConfig
 from repro.arch.fastcore.image import (
     F_BACKWARD,
-    F_CALL,
     F_COND,
     F_CONTROL,
     F_HALT,
     F_LC_TRIGGER,
     F_LOAD,
     F_MEM,
-    F_RETURN,
     F_STORE,
     image_for,
 )
@@ -69,11 +72,8 @@ from repro.arch.regfile import RegisterFile
 from repro.arch.stats import PipelineStats
 from repro.arch.trace import PipelineTracer
 from repro.core import controller as _controller_mod
-from repro.core.controller import ControllerEvent
-from repro.core.lrl import LogicalRegisterList
-from repro.core.nblt import NonBufferableLoopTable
-from repro.core.states import IQState, check_transition
-from repro.core.trace_controller import TraceHeadTable
+from repro.core import controller_for
+from repro.core.states import IQState
 from repro.isa.memory import SparseMemory
 from repro.isa.program import INSTRUCTION_BYTES, Program
 from repro.isa.semantics import forwarded_value
@@ -101,65 +101,12 @@ class _FetchView:
         self.loop_cache = loop_cache
 
 
-class FastControllerView:
-    """Read-only controller facade over the core's flat controller state.
-
-    Exposes the observable surface of
-    :class:`repro.core.controller.ReuseController` (state, gate, event and
-    transition logs, NBLT/LRL) without the per-entry bookkeeping objects.
-    """
-
-    __slots__ = ("_core",)
-
-    def __init__(self, core: "FastPipeline"):
-        self._core = core
-
-    @property
-    def enabled(self) -> bool:
-        return self._core.config.reuse_enabled
-
-    @property
-    def state(self) -> IQState:
-        return self._core._state
-
-    @property
-    def gated(self) -> bool:
-        return self._core._gated
-
-    @property
-    def events(self) -> List[ControllerEvent]:
-        return self._core._events
-
-    @property
-    def transitions(self) -> List:
-        return self._core._transitions
-
-    @property
-    def nblt(self) -> NonBufferableLoopTable:
-        return self._core.nblt
-
-    @property
-    def tht(self) -> TraceHeadTable:
-        return self._core._tht
-
-    @property
-    def lrl(self) -> LogicalRegisterList:
-        return self._core.lrl
-
-    def iter_events_since(self, cursor: int):
-        """New events appended since ``cursor``, plus the new cursor."""
-        log = self._core._events
-        if cursor >= len(log):
-            return (), cursor
-        return log[cursor:], len(log)
-
-
 class FastPipeline:
     """Cycle-level out-of-order core on flat slot columns."""
 
     __slots__ = (
         "program", "config", "mem_image", "stats", "hierarchy", "predictor",
-        "regfile", "nblt", "lrl", "controller", "fetch_unit",
+        "regfile", "controller", "fetch_unit",
         "cycle", "halted",
         "_img", "_seq", "_pc", "_stall_until",
         "_started", "_delegate", "_loop_cache", "_lc_decoded",
@@ -178,18 +125,10 @@ class FastPipeline:
         "_rob", "_lsq", "_sq", "_fq", "_decoded", "_iq_set",
         "_ready_heap", "_inflight", "_pending_loads", "_pending_stores",
         "_fu_free",
-        "_state", "_gated", "_c_head", "_c_tail", "_c_buffered",
-        "_c_call_depth", "_c_iter_counter", "_c_last_size",
-        "_c_iters_buffered", "_c_pending_promote", "_c_promote_slot",
-        "_c_promote_seq", "_c_ptr", "_c_next_eid", "_c_session",
-        "_c_undispatched", "_c_supplied", "_transitions", "_events",
-        "_tht", "_t_obs_head", "_t_obs", "_t_obs_len", "_t_ref",
-        "_t_ref_idx",
     )
 
     def __init__(self, program: Program, config: MachineConfig,
-                 memory: Optional[SparseMemory] = None,
-                 tracer: Optional[PipelineTracer] = None):
+                 memory: Optional[SparseMemory] = None):
         self.program = program
         self.config = config
         self.mem_image = memory if memory is not None \
@@ -201,13 +140,12 @@ class FastPipeline:
             config.ras_size, kind=config.bpred_kind,
             history_bits=config.bpred_history_bits)
         self.regfile = RegisterFile()
-        self.nblt = NonBufferableLoopTable(config.nblt_size)
-        self.lrl = LogicalRegisterList(config.iq_size)
         self._loop_cache = (LoopCacheController(config.loop_cache_size)
                             if config.loop_cache_size else None)
         self._lc_decoded = config.loop_cache_decoded
         self.fetch_unit = _FetchView(self._loop_cache)
-        self.controller = FastControllerView(self)
+        self.controller = controller_for(config.reuse_mode)(
+            config, self, self.stats)
         self._img = image_for(program)
 
         self.cycle = 0
@@ -255,7 +193,7 @@ class FastPipeline:
         self._d_s1ref = [-1] * cap
         self._d_mem_addr = [-1] * cap
         self._d_mem_size = [0] * cap
-        self._d_session = [-1] * cap
+        self._d_session: List = [None] * cap
 
         self._e_idx = [0] * ecap
         self._e_dslot = [0] * ecap
@@ -286,38 +224,6 @@ class FastPipeline:
         self._pending_stores: List = []
         self._fu_free = [[0] * config.num_ialu, [0] * config.num_imult,
                          [0] * config.num_fpalu, [0] * config.num_fpmult]
-
-        # controller state (the object core's ReuseController, flattened)
-        self._state = _ST_NORMAL
-        self._gated = False
-        self._c_head: Optional[int] = None
-        self._c_tail: Optional[int] = None
-        self._c_buffered: List[int] = []
-        self._c_call_depth = 0
-        self._c_iter_counter = 0
-        self._c_last_size = 0
-        self._c_iters_buffered = 0
-        self._c_pending_promote = False
-        self._c_promote_slot = -1
-        self._c_promote_seq = -1
-        self._c_ptr = 0
-        self._c_next_eid = 0
-        self._c_session = 0
-        self._c_undispatched = 0
-        self._c_supplied = 0
-        self._transitions: List = []
-        self._events: List[ControllerEvent] = []
-        # trace-reuse controller state (reuse_mode="trace"; see
-        # repro.core.trace_controller.TraceReuseController)
-        self._tht = TraceHeadTable(config.tht_size)
-        self._t_obs_head: Optional[int] = None
-        self._t_obs: List = []
-        self._t_obs_len = 0
-        self._t_ref: tuple = ()
-        self._t_ref_idx = 0
-
-        if tracer is not None:
-            self.attach_probe(tracer)
 
     # ---------------------------------------------------------------- probes
 
@@ -355,8 +261,6 @@ class FastPipeline:
             self.regfile = delegate.regfile
             self.fetch_unit = delegate.fetch_unit
             self.controller = delegate.controller
-            self.nblt = delegate.controller.nblt
-            self.lrl = delegate.controller.lrl
         self._delegate.attach_probe(probe)
 
     def detach_probe(self, probe) -> None:
@@ -403,6 +307,8 @@ class FastPipeline:
         # localise everything the per-cycle path touches
         config = self.config
         stats = self.stats
+        controller = self.controller
+        on_decode = controller.on_decode
         img = self._img
         s_insts = img.insts
         s_ops = img.ops
@@ -611,14 +517,15 @@ class FastPipeline:
                 self.cycle = cycle
                 n_cycles += 1
                 dports = 0
-                state = self._state
+                controller.now = cycle
+                state = controller.state
                 if state is ST_N:
                     n_cyc_normal += 1
                 elif state is ST_B:
                     n_cyc_buffering += 1
                 else:
                     n_cyc_reuse += 1
-                if self._gated:
+                if controller.gated:
                     n_gated += 1
 
                 # ---------------------------------------------------- commit
@@ -930,9 +837,10 @@ class FastPipeline:
                             heappush(ready_heap, (e_dseq[es] << E) | es)
 
                 # -------------------------------------------------- dispatch
-                if reuse_on and self._state is ST_R and not decoded:
-                    buffered = self._c_buffered
-                    ptr = self._c_ptr
+                if reuse_on and controller.state is ST_R and not decoded:
+                    buffered = controller.buffered
+                    ptr = controller.reuse_pointer
+                    supplied = n_reuse
                     budget = decode_width
                     rob_n = len(rob)
                     lsq_n = len(lsq)
@@ -960,7 +868,7 @@ class FastPipeline:
                         d_squashed[ds] = 0
                         d_from_reuse[ds] = 1
                         d_waiters[ds] = None
-                        d_session[ds] = -1
+                        d_session[ds] = None
                         if f & F_CONTROL:
                             d_pred_taken[ds] = e_rtaken[es]
                             d_pred_target[ds] = e_rtarget[es]
@@ -1039,6 +947,8 @@ class FastPipeline:
                             heappush(ready_heap, (seq << E) | es)
                         ptr += 1
                         if ptr >= len(buffered):
+                            # wrap; the injected fault skips slot 0
+                            # (fuzzer self-test)
                             if (_controller_mod._INJECTED_BUG
                                     == "skip-lrl-update"
                                     and len(buffered) > 1):
@@ -1047,9 +957,9 @@ class FastPipeline:
                                 ptr = 0
                         n_reuse += 1
                         n_rtype[s_bucket[idx]] += 1
-                        self._c_supplied += 1
                         budget -= 1
-                    self._c_ptr = ptr
+                    controller.reuse_pointer = ptr
+                    controller.session_supplied += n_reuse - supplied
                 elif decoded:
                     budget = decode_width
                     rob_n = len(rob)
@@ -1065,7 +975,7 @@ class FastPipeline:
                             break
                         if iq_n >= iq_size:
                             if reuse_on:
-                                self._on_iq_full(ds)
+                                controller.on_dispatch_iq_full(d_session[ds])
                             break
                         decoded.popleft()
                         es = efree.pop()
@@ -1146,10 +1056,15 @@ class FastPipeline:
                             e_ready[es] = 1
                             heappush(ready_heap, (myseq << E) | es)
                         n_iqins += 1
-                        if reuse_on:
-                            if self._state is ST_B:
-                                self._on_dispatch(ds, es)
-                            if self._state is ST_R:
+                        if reuse_on and controller.state is ST_B:
+                            if controller.on_dispatch(es, s_insts[idx],
+                                                      d_session[ds], myseq):
+                                e_class[es] = 1
+                                e_buf[es] = 1
+                                if f & F_CONTROL:
+                                    e_rtaken[es] = d_pred_taken[ds]
+                                    e_rtarget[es] = d_pred_target[ds]
+                            if controller.state is ST_R:
                                 # tail dispatched, Code Reuse engaged: the
                                 # queued front-end is the next iteration,
                                 # which the reuse pointer supplies instead
@@ -1161,7 +1076,7 @@ class FastPipeline:
                         budget -= 1
 
                 # ---------------------------------------------------- decode
-                if not self._gated and fq:
+                if not controller.gated and fq:
                     budget = decode_width
                     dec_n = len(decoded)
                     while budget and fq and dec_n < decode_cap:
@@ -1172,24 +1087,21 @@ class FastPipeline:
                         decoded.append(ds)
                         dec_n += 1
                         if reuse_on:
-                            st = self._state
-                            if st is ST_N:
-                                if trace_on:
-                                    self._trace_observe(ds)
-                                elif (s_flags[d_idx[ds]] & F_BACKWARD
-                                        and d_pred_taken[ds]):
-                                    self._try_start_buffering(ds)
-                            elif st is ST_B:
-                                if trace_on:
-                                    self._trace_buffering_decode(ds)
-                                else:
-                                    self._buffering_decode(ds)
-                            if self._gated:
+                            # loop detection only ever fires on a
+                            # predicted-taken backward branch or jump
+                            if (trace_on or controller.state is ST_B
+                                    or (s_flags[d_idx[ds]] & F_BACKWARD
+                                        and d_pred_taken[ds])):
+                                d_session[ds] = on_decode(
+                                    d_pc[ds], s_insts[d_idx[ds]],
+                                    d_pred_taken[ds], d_pred_target[ds],
+                                    d_seq[ds])
+                            if controller.gated:
                                 break
                         budget -= 1
 
                 # ----------------------------------------------------- fetch
-                if not self._gated:
+                if not controller.gated:
                     if self._stall_until > cycle:
                         n_fstall += 1
                     else:
@@ -1254,7 +1166,7 @@ class FastPipeline:
                                         d_from_reuse[ds] = 0
                                         d_predecoded[ds] = pd
                                         d_waiters[ds] = None
-                                        d_session[ds] = -1
+                                        d_session[ds] = None
                                         n_fetched += 1
                                         fetched += 1
                                         f = s_flags[idx]
@@ -1304,7 +1216,7 @@ class FastPipeline:
                         raise SimulationTimeout(
                             f"pipeline stalled for {stall_guard} cycles at "
                             f"cycle {self.cycle} (rob head: {head_repr},"
-                            f" state: {self._state})")
+                            f" state: {self.controller.state})")
                 else:
                     stall_guard = 0
         finally:
@@ -1433,321 +1345,28 @@ class FastPipeline:
         self._pc = target
         self._stall_until = self.cycle + 1
         if self.config.reuse_enabled:
-            state = self._state
-            if state is _ST_BUFFERING:
-                self._revoke("mispredict during buffering",
-                             register_nblt=False)
-                stats.revokes_mispredict += 1
-            elif state is _ST_REUSE:
-                stats.reuse_mispredicts += 1
-                self._revoke("reuse exit", register_nblt=False)
-            elif self.config.reuse_mode == "trace":
-                # the squash invalidated part of the observed decode
-                # stream; the window no longer describes a real path
-                self._t_obs_head = None
-                self._t_obs = []
-                self._t_obs_len = 0
+            self.controller.on_mispredict()
 
-    # -- controller (the object core's ReuseController, on slot handles) --
+    # -- reuse-controller host interface (see repro.core.controller) -------
 
-    def _transition(self, new_state: IQState, reason: str) -> None:
-        check_transition(self._state, new_state)
-        self._transitions.append((self._state, new_state, reason))
-        self._state = new_state
+    @property
+    def occupancy(self) -> int:
+        """Occupied issue-queue entries."""
+        return len(self._iq_set)
 
-    def _try_start_buffering(self, ds: int) -> None:
-        """Loop detection at decode (callers checked ``is_loop_ending``)."""
-        stats = self.stats
-        idx = self._d_idx[ds]
-        if self._img.loop_size[idx] > self.config.iq_size:
-            return
-        stats.loop_detections += 1
-        tail = self._d_pc[ds]
-        if self.nblt.lookup(tail):
-            stats.nblt_lookups += 1
-            stats.nblt_hits += 1
-            return
-        stats.nblt_lookups += 1
-        head = self._img.target[idx]
-        self._transition(_ST_BUFFERING, "capturable loop detected")
-        self._events.append(ControllerEvent(
-            kind="buffer_start", head_pc=head, tail_pc=tail,
-            cycle=self.cycle))
-        stats.buffering_started += 1
-        self._c_session += 1
-        self._c_undispatched = 0
-        self._c_head = head
-        self._c_tail = tail
-        self._c_buffered = []
-        self._c_call_depth = 0
-        self._c_iter_counter = 0
-        self._c_last_size = 0
-        self._c_iters_buffered = 0
-        self._c_pending_promote = False
-        self._c_promote_slot = -1
-        self._c_promote_seq = -1
-        self._c_supplied = 0
+    def resident(self, es: int) -> bool:
+        """True while entry slot ``es`` still occupies the queue."""
+        return bool(self._e_inq[es])
 
-    def _buffering_decode(self, ds: int) -> None:
-        if self._c_pending_promote:
-            # the gate is already up; an instruction still in flight
-            # through decode this cycle is simply left alone
-            return
-        stats = self.stats
-        pc = self._d_pc[ds]
-        tail = self._c_tail
-        if pc == tail and self._c_call_depth == 0:
-            self._iteration_boundary(ds)
-            return
-        if self._c_call_depth == 0 and not (self._c_head <= pc <= tail):
-            self._revoke("exit", register_nblt=True)
-            stats.revokes_exit += 1
-            return
-        f = self._img.flags[self._d_idx[ds]]
-        if f & F_BACKWARD and self._d_pred_taken[ds]:
-            # an inner loop inside the loop being buffered: the current
-            # loop is non-bufferable; re-run detection on the inner loop
-            self._revoke("inner loop", register_nblt=True)
-            stats.revokes_inner_loop += 1
-            self._try_start_buffering(ds)
-            return
-        self._d_session[ds] = self._c_session
-        self._c_undispatched += 1
-        self._c_iter_counter += 1
-        if f & F_CALL:
-            self._c_call_depth += 1
-        elif f & F_RETURN and self._c_call_depth > 0:
-            self._c_call_depth -= 1
-
-    def _iteration_boundary(self, ds: int) -> None:
-        stats = self.stats
-        self._d_session[ds] = self._c_session
-        self._c_undispatched += 1
-        self._c_iter_counter += 1
-        if not self._d_pred_taken[ds]:
-            # the loop ends here: execution exits during buffering
-            self._revoke("exit at tail", register_nblt=True)
-            stats.revokes_exit += 1
-            return
-        self._c_last_size = self._c_iter_counter
-        self._c_iter_counter = 0
-        self._c_iters_buffered += 1
-        if self.config.buffering_strategy == "single":
-            self._promote(ds)
-            return
-        effective_free = ((self.config.iq_size - len(self._iq_set))
-                          - self._c_undispatched)
-        if effective_free >= self._c_last_size:
-            return
-        self._promote(ds)
-
-    # -- trace controller (TraceReuseController, on slot handles) ----------
-
-    def _trace_observe(self, ds: int) -> None:
-        """Normal-state observation hook (reuse_mode="trace" only)."""
-        if self._tht.size <= 0:
-            return
-        idx = self._d_idx[ds]
-        f = self._img.flags[idx]
-        if f & F_BACKWARD and self._d_pred_taken[ds]:
-            self._trace_observe_tail(ds, idx)
-            return
-        if self._t_obs_head is None:
-            return
-        self._t_obs_len += 1
-        if self._t_obs_len >= self.config.iq_size:
-            # the path from the anchor no longer fits head..tail inclusive
-            # in the issue queue; abandon and wait for the next anchor
-            self._t_obs_head = None
-            self._t_obs = []
-            self._t_obs_len = 0
-            return
-        if f & F_CONTROL:
-            self._t_obs.append(
-                (self._d_pc[ds], self._d_pred_taken[ds],
-                 self._d_pred_target[ds]))
-
-    def _trace_observe_tail(self, ds: int, idx: int) -> None:
-        stats = self.stats
-        head = self._img.target[idx]
-        tail = self._d_pc[ds]
-        if self._t_obs_head == head:
-            signature = tuple(self._t_obs) + (
-                (tail, self._d_pred_taken[ds], self._d_pred_target[ds]),)
-            stats.trace_detections += 1
-            stats.tht_lookups += 1
-            stored = self._tht.get(head)
-            if stored == signature:
-                stats.tht_hits += 1
-                stats.loop_detections += 1
-                if self.nblt.lookup(tail):
-                    stats.nblt_lookups += 1
-                    stats.nblt_hits += 1
-                else:
-                    stats.nblt_lookups += 1
-                    self._trace_start_buffering(head, tail, signature)
-                    return
-            else:
-                self._tht.put(head, signature)
-        # re-anchor at this tail's target; the traversal that just ended
-        # (or a partial window) doubles as the start of the next one
-        self._t_obs_head = head
-        self._t_obs = []
-        self._t_obs_len = 0
-
-    def _trace_start_buffering(self, head: int, tail: int,
-                               signature: tuple) -> None:
-        stats = self.stats
-        self._transition(_ST_BUFFERING, "capturable loop detected")
-        self._events.append(ControllerEvent(
-            kind="buffer_start", head_pc=head, tail_pc=tail,
-            cycle=self.cycle))
-        stats.buffering_started += 1
-        self._c_session += 1
-        self._c_undispatched = 0
-        self._c_head = head
-        self._c_tail = tail
-        self._c_buffered = []
-        self._c_call_depth = 0
-        self._c_iter_counter = 0
-        self._c_last_size = 0
-        self._c_iters_buffered = 0
-        self._c_pending_promote = False
-        self._c_promote_slot = -1
-        self._c_promote_seq = -1
-        self._c_supplied = 0
-        self._t_ref = signature
-        self._t_ref_idx = 0
-        self._t_obs_head = None
-        self._t_obs = []
-        self._t_obs_len = 0
-
-    def _trace_buffering_decode(self, ds: int) -> None:
-        if self._c_pending_promote:
-            # the gate is already up; an instruction still in flight
-            # through decode this cycle is simply left alone
-            return
-        stats = self.stats
-        if self._img.flags[self._d_idx[ds]] & F_CONTROL:
-            ref = self._t_ref[self._t_ref_idx]
-            pc = self._d_pc[ds]
-            taken = self._d_pred_taken[ds]
-            if (pc, taken, self._d_pred_target[ds]) != ref:
-                last = self._t_ref_idx == len(self._t_ref) - 1
-                if last and pc == ref[0] and not taken:
-                    # the trace ends here: execution exits during
-                    # buffering (the paper's exit-at-tail rule)
-                    self._d_session[ds] = self._c_session
-                    self._c_undispatched += 1
-                    self._c_iter_counter += 1
-                    self._revoke("exit at tail", register_nblt=True)
-                    stats.revokes_exit += 1
-                    return
-                self._revoke("trace divergence", register_nblt=True)
-                stats.revokes_divergence += 1
-                return
-            if self._t_ref_idx == len(self._t_ref) - 1:
-                self._trace_iteration_boundary(ds)
-                return
-            self._t_ref_idx += 1
-        # non-control instructions need no check: the path between two
-        # controls is fully determined by the previous control's outcome
-        self._d_session[ds] = self._c_session
-        self._c_undispatched += 1
-        self._c_iter_counter += 1
-
-    def _trace_iteration_boundary(self, ds: int) -> None:
-        self._d_session[ds] = self._c_session
-        self._c_undispatched += 1
-        self._c_iter_counter += 1
-        self._c_last_size = self._c_iter_counter
-        self._c_iter_counter = 0
-        self._c_iters_buffered += 1
-        self._t_ref_idx = 0
-        if self.config.buffering_strategy == "single":
-            self._promote(ds)
-            return
-        effective_free = ((self.config.iq_size - len(self._iq_set))
-                          - self._c_undispatched)
-        if effective_free >= self._c_last_size:
-            return
-        self._promote(ds)
-
-    def _promote(self, ds: int) -> None:
-        """Raise the gate; Code Reuse begins once the tail is dispatched."""
-        self._c_pending_promote = True
-        self._c_promote_slot = ds
-        self._c_promote_seq = self._d_seq[ds]
-        self._gated = True
-
-    def _on_dispatch(self, ds: int, es: int) -> None:
-        """Buffering-state dispatch hook (callers checked the state)."""
-        stats = self.stats
-        if self._d_session[ds] == self._c_session:
-            self._c_undispatched -= 1
-            self._e_class[es] = 1
-            self._e_istate[es] = 0
-            eid = self._c_next_eid
-            self._c_next_eid += 1
-            idx = self._d_idx[ds]
-            inst = self._img.insts[idx]
-            self.lrl.record(eid, inst.dest, inst.srcs)
-            stats.lrl_writes += 1
-            if self._img.flags[idx] & F_CONTROL:
-                self._e_rtaken[es] = self._d_pred_taken[ds]
-                self._e_rtarget[es] = self._d_pred_target[ds]
-            self._c_buffered.append(es)
-            self._e_buf[es] = 1
-            stats.buffered_instructions += 1
-        if (self._c_pending_promote and ds == self._c_promote_slot
-                and self._d_seq[ds] == self._c_promote_seq):
-            self._enter_reuse()
-
-    def _enter_reuse(self) -> None:
-        self._transition(_ST_REUSE, "buffering finished")
-        self._events.append(ControllerEvent(
-            kind="promote", head_pc=self._c_head, tail_pc=self._c_tail,
-            iterations=self._c_iters_buffered, cycle=self.cycle))
-        self.stats.promotions += 1
-        self.stats.buffered_iterations += self._c_iters_buffered
-        self._c_pending_promote = False
-        self._c_promote_slot = -1
-        self._c_promote_seq = -1
-        self._c_ptr = 0
-
-    def _on_iq_full(self, ds: int) -> None:
-        """Dispatch stalled on a full issue queue (see the object core)."""
-        if not self.config.reuse_enabled \
-                or self._state is not _ST_BUFFERING:
-            return
-        if self._d_session[ds] != self._c_session:
-            return
-        e_inq = self._e_inq
-        resident = 0
-        for es in self._c_buffered:
-            if e_inq[es]:
-                resident += 1
-        if resident >= len(self._iq_set):
-            self._revoke("issue queue full", register_nblt=True)
-            self.stats.revokes_iq_full += 1
-
-    def _revoke(self, reason: str, register_nblt: bool) -> None:
-        """Return to Normal state (the paper's Section 2.5 rules)."""
-        stats = self.stats
-        tail = self._c_tail
-        inserted = register_nblt and tail is not None
-        self._events.append(ControllerEvent(
-            kind="revoke", head_pc=self._c_head, tail_pc=tail,
-            reason=reason, nblt_insert=inserted,
-            iterations=self._c_iters_buffered, cycle=self.cycle,
-            supplied=self._c_supplied))
-        if inserted:
-            self.nblt.insert(tail)
-            stats.nblt_inserts += 1
+    def release(self, handles: List[int]) -> int:
+        """Revoke sweep over buffered entry slots (see the object core's
+        ``IssueQueue.release``); returns the number removed from the queue.
+        """
         e_inq = self._e_inq
         e_buf = self._e_buf
         efree = self._efree
-        for es in self._c_buffered:
+        removed = 0
+        for es in handles:
             e_buf[es] = 0
             if not e_inq[es]:
                 efree.append(es)       # squashed out earlier; sweep now
@@ -1756,26 +1375,10 @@ class FastPipeline:
                 e_inq[es] = 0
                 self._e_ready[es] = 0
                 self._iq_set.discard(es)
-                stats.iq_removes += 1
+                removed += 1
                 efree.append(es)
             else:
                 # not yet issued: it must still execute; remove at issue
                 # like any conventional entry
                 self._e_class[es] = 0
-        if self._state is _ST_BUFFERING:
-            stats.buffering_revokes += 1
-        self._c_buffered = []
-        self.lrl.clear()
-        stats.revokes += 1
-        self._c_pending_promote = False
-        self._c_promote_slot = -1
-        self._c_promote_seq = -1
-        self._gated = False
-        self._c_head = None
-        self._c_tail = None
-        self._t_ref = ()
-        self._t_ref_idx = 0
-        self._t_obs_head = None
-        self._t_obs = []
-        self._t_obs_len = 0
-        self._transition(_ST_NORMAL, reason)
+        return removed

@@ -32,8 +32,8 @@ class CoreInterface(Protocol):
     Attributes (all read after or between cycles, never mutated by
     callers): ``program``, ``config``, ``stats``, ``hierarchy``,
     ``predictor``, ``mem_image``, ``fetch_unit`` (needs ``.loop_cache``),
-    ``controller`` (needs ``.events`` / ``.transitions`` / ``.state`` /
-    ``.gated`` / ``.enabled``), ``cycle`` and ``halted``.
+    ``controller`` (the :func:`repro.core.controller_for` instance the
+    core drives), ``cycle`` and ``halted``.
     """
 
     cycle: int

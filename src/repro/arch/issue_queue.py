@@ -152,6 +152,31 @@ class IssueQueue:
         entry.ready = False
         self.entries.discard(entry)
 
+    # -- reuse-controller host interface (see repro.core.controller) ----------
+
+    def resident(self, entry: IQEntry) -> bool:
+        """True while ``entry`` still occupies the queue."""
+        return entry.in_queue
+
+    def release(self, entries: List[IQEntry]) -> int:
+        """Revoke sweep: drop the buffered ``entries``' reuse status.
+
+        Issued entries leave the queue; unissued ones lose their
+        classification bit and leave at issue like any conventional entry.
+        Entries squashed out by a recovery are skipped.  Returns the number
+        of entries removed.
+        """
+        removed = 0
+        for entry in entries:
+            if not entry.in_queue:
+                continue
+            if entry.issue_state:
+                self.remove(entry)
+                removed += 1
+            else:
+                entry.classification = False
+        return removed
+
     def squash_younger_than(self, seq: int) -> int:
         """Remove entries whose current instance is younger than ``seq``.
 

@@ -17,8 +17,8 @@ The paper's mechanism hooks in at four points:
 * decode calls :meth:`ReuseController.on_decode` (loop detection, buffering
   bookkeeping, promote decision),
 * dispatch calls ``on_dispatch`` / ``on_dispatch_iq_full`` and, in Code
-  Reuse state, draws instructions from the reuse pointer instead of the
-  decoder,
+  Reuse state, walks the controller's buffered entries from its reuse
+  pointer instead of drawing from the decoder,
 * issue leaves classification-bit entries resident (setting their issue
   state bit) instead of removing them,
 * misprediction recovery calls ``on_mispredict`` (revoke / reuse exit).
@@ -53,6 +53,7 @@ from repro.arch.rename import RenameMap
 from repro.arch.rob import ReorderBuffer
 from repro.arch.stats import REUSE_COUNTER_OF, PipelineStats
 from repro.arch.trace import PipelineTracer
+from repro.core import controller as _controller_mod
 from repro.core import controller_for
 from repro.core.states import IQState
 from repro.isa.memory import SparseMemory
@@ -87,8 +88,7 @@ class Pipeline:
     )
 
     def __init__(self, program: Program, config: MachineConfig,
-                 memory: Optional[SparseMemory] = None,
-                 tracer: Optional[PipelineTracer] = None):
+                 memory: Optional[SparseMemory] = None):
         self.program = program
         self.config = config
         # probe machinery: stage probes receive per-instruction lifecycle
@@ -129,9 +129,6 @@ class Pipeline:
         self.cycle = 0
         self.halted = False
         self._dcache_ports_used = 0
-        if tracer is not None:
-            # legacy convenience: tracer= is an ordinary stage probe
-            self.attach_probe(tracer)
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -373,7 +370,7 @@ class Pipeline:
         self.decoded.clear()
         self.fetch_unit.redirect(target, self.cycle)
         if self.controller.enabled:
-            self.controller.on_mispredict(dyn)
+            self.controller.on_mispredict()
 
     # ------------------------------------------------------------------ LSQ
 
@@ -546,6 +543,7 @@ class Pipeline:
             self._dispatch_reuse()
             return
         stats = self.stats
+        controller = self.controller
         budget = self.config.decode_width
         decoded = self.decoded
         while budget and decoded:
@@ -556,8 +554,8 @@ class Pipeline:
             if inst.is_mem and self.lsq.full:
                 break
             if self.iq.full:
-                if self.controller.enabled:
-                    self.controller.on_dispatch_iq_full(dyn)
+                if controller.enabled:
+                    controller.on_dispatch_iq_full(dyn.buffer_session)
                 break
             decoded.popleft()
             entry = IQEntry(inst, dyn)
@@ -565,9 +563,14 @@ class Pipeline:
             self._rename_and_allocate(dyn, entry)
             self.iq.insert(entry)
             stats.iq_inserts += 1
-            if self.controller.enabled:
-                self.controller.on_dispatch(dyn, entry)
-                if self.controller.state is IQState.REUSE:
+            if controller.enabled and controller.state is IQState.BUFFERING:
+                if controller.on_dispatch(entry, inst, dyn.buffer_session,
+                                          dyn.seq):
+                    entry.classification = True
+                    if inst.is_control:
+                        entry.recorded_taken = dyn.pred_taken
+                        entry.recorded_target = dyn.pred_target
+                if controller.state is IQState.REUSE:
                     # the loop tail just dispatched and Code Reuse engaged:
                     # everything still queued in the front-end is the next
                     # iteration, which the reuse pointer will supply instead
@@ -580,10 +583,12 @@ class Pipeline:
         """Code Reuse state: the reuse pointer is the dispatch source."""
         stats = self.stats
         controller = self.controller
+        buffered = controller.buffered
+        ptr = controller.reuse_pointer
         budget = self.config.decode_width
-        while budget:
-            entry = controller.peek_reuse()
-            if entry is None:
+        while budget and buffered:
+            entry = buffered[ptr]
+            if not entry.issue_state:
                 break
             inst = entry.inst
             if self.rob.full:
@@ -602,13 +607,19 @@ class Pipeline:
             self._rename_and_allocate(dyn, entry)
             if entry.pending == 0:
                 self.iq.mark_ready(entry)
-            controller.advance_reuse()
+            ptr += 1
+            if ptr >= len(buffered):
+                # wrap; the injected fault skips slot 0 (fuzzer self-test)
+                ptr = (1 if _controller_mod._INJECTED_BUG == "skip-lrl-update"
+                       and len(buffered) > 1 else 0)
+            controller.session_supplied += 1
             stats.reuse_supplied += 1
             counter = REUSE_COUNTER_OF[inst.op.icls]
             setattr(stats, counter, getattr(stats, counter) + 1)
             stats.iq_partial_updates += 1
             stats.lrl_reads += 1
             budget -= 1
+        controller.reuse_pointer = ptr
 
     def _rename_and_allocate(self, dyn: DynInst,
                              entry: Optional[IQEntry]) -> None:
@@ -672,7 +683,9 @@ class Pipeline:
                 self._record("decode", dyn, self.cycle)
             decoded.append(dyn)
             if controller.enabled:
-                controller.on_decode(dyn)
+                dyn.buffer_session = controller.on_decode(
+                    dyn.pc, dyn.inst, dyn.pred_taken, dyn.pred_target,
+                    dyn.seq)
                 if controller.gated:
                     # promote decision: the gate is up.  The fetch queue is
                     # retained -- if buffering is revoked before the loop

@@ -15,10 +15,9 @@ That is the paper's mechanism, directly visible in the diagram (see
 ``examples/pipeline_trace.py``).
 
 Tracing is opt-in -- the tracer is an ordinary stage probe, attached with
-``pipeline.attach_probe(tracer)`` (or the equivalent ``tracer=``
-constructor convenience) -- and bounded: after ``capacity`` instructions
-the tracer stops recording new ones, so it can be attached to long runs to
-capture their beginning.
+``pipeline.attach_probe(tracer)`` -- and bounded: after ``capacity``
+instructions the tracer stops recording new ones, so it can be attached to
+long runs to capture their beginning.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The paper's Section 4 uses loop distribution to shrink loop bodies so they
 fit a given issue-queue size.  The pass splits an innermost loop's body
 into the strongly-connected components of its statement dependence graph,
-emitting one loop per component in topological order:
+emitting one loop per component in topological order (ties broken by
+program order):
 
 * statements that participate in a dependence *cycle* (e.g. a recurrence
   through the same array) must stay in one loop,
@@ -30,9 +31,8 @@ reader at a shifted index.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Set
-
-import networkx as nx
 
 from repro.compiler.ir import (
     Assign,
@@ -75,24 +75,83 @@ def _interference(first: Assign, second: Assign):
     return "loop_independent"
 
 
-def _dependence_graph(statements: List[Assign]) -> "nx.DiGraph":
-    """Directed dependence graph over statement indices.
+def _dependence_graph(statements: List[Assign]) -> List[List[int]]:
+    """Successor lists of the dependence graph over statement indices.
 
     Loop-independent dependences get a forward (program-order) edge;
-    possibly-loop-carried ones get both edges so SCC condensation keeps
-    the statements in one loop.
+    possibly-loop-carried ones get both edges so the SCC pass keeps the
+    statements in one loop.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(statements)))
+    successors: List[List[int]] = [[] for _ in statements]
     for i, earlier in enumerate(statements):
         for j in range(i + 1, len(statements)):
             kind = _interference(earlier, statements[j])
             if kind is None:
                 continue
-            graph.add_edge(i, j)
+            successors[i].append(j)
             if kind == "cyclic":
-                graph.add_edge(j, i)
-    return graph
+                successors[j].append(i)
+    return successors
+
+
+def ordered_components(successors: List[List[int]]) -> List[List[int]]:
+    """Strongly-connected components in topological order.
+
+    Tarjan's algorithm finds the components (members sorted); Kahn's
+    algorithm then orders them, always emitting the ready component with
+    the lowest member first, so unrelated statements keep program order.
+    """
+    count = len(successors)
+    index = [-1] * count
+    low = [0] * count
+    component_of = [-1] * count
+    stack: List[int] = []
+    components: List[List[int]] = []
+    visited = 0
+
+    def visit(node: int) -> None:
+        nonlocal visited
+        index[node] = low[node] = visited
+        visited += 1
+        stack.append(node)
+        for succ in successors[node]:
+            if index[succ] < 0:
+                visit(succ)
+                low[node] = min(low[node], low[succ])
+            elif component_of[succ] < 0:        # still on the stack
+                low[node] = min(low[node], index[succ])
+        if low[node] == index[node]:
+            root = stack.index(node)
+            members = stack[root:]
+            del stack[root:]
+            for member in members:
+                component_of[member] = len(components)
+            components.append(sorted(members))
+
+    for node in range(count):
+        if index[node] < 0:
+            visit(node)
+    edges: List[Set[int]] = [set() for _ in components]
+    for node, succs in enumerate(successors):
+        for succ in succs:
+            if component_of[node] != component_of[succ]:
+                edges[component_of[node]].add(component_of[succ])
+    indegree = [0] * len(components)
+    for targets in edges:
+        for target in targets:
+            indegree[target] += 1
+    ready = [(members[0], c) for c, members in enumerate(components)
+             if not indegree[c]]
+    heapq.heapify(ready)
+    order: List[List[int]] = []
+    while ready:
+        _, c = heapq.heappop(ready)
+        order.append(components[c])
+        for target in edges[c]:
+            indegree[target] -= 1
+            if not indegree[target]:
+                heapq.heappush(ready, (components[target][0], target))
+    return order
 
 
 def distribute_loop(loop: Loop) -> List[Loop]:
@@ -110,11 +169,8 @@ def distribute_loop(loop: Loop) -> List[Loop]:
                                 if isinstance(s, Assign)]
     if len(statements) < 2:
         return [loop]
-    graph = _dependence_graph(statements)
-    condensation = nx.condensation(graph)
     new_loops: List[Loop] = []
-    for component in nx.topological_sort(condensation):
-        members = sorted(condensation.nodes[component]["members"])
+    for members in ordered_components(_dependence_graph(statements)):
         body: List[Stmt] = [statements[index] for index in members]
         new_loops.append(Loop(loop.var, loop.lower, loop.upper, body,
                               step=loop.step))

@@ -15,6 +15,10 @@ This package implements Section 2 of the paper on top of the
 * :mod:`repro.core.trace_controller` -- the trace-level generalization
   (:class:`TraceReuseController`, beyond the paper; see
   ``docs/trace_reuse.md``).
+
+The controllers are engine-neutral: both pipeline cores construct them
+with :func:`controller_for` and drive them with per-instruction scalars
+and opaque issue-queue entry handles, so each mechanism exists once.
 """
 
 from repro.core.controller import ReuseController

@@ -9,40 +9,56 @@ queue:
   strategy the paper selects, Section 2.2.1),
 * procedure-call handling via a call-depth counter (Section 2.2.2),
 * the non-bufferable loop table (Section 2.2.3),
-* the reuse pointer scan that re-dispatches buffered instructions in
-  program order (Section 2.4),
+* the buffered-entry list and reuse pointer the Code Reuse dispatch
+  source walks in program order (Section 2.4),
 * every revoke/recovery rule back to Normal (Section 2.5), and
 * the front-end gate signal.
 
-The pipeline calls into the controller at decode (``on_decode``), at
-dispatch (``on_dispatch`` / ``on_dispatch_iq_full``), during misprediction
-recovery (``on_mispredict``) and when dispatching in Code Reuse state
-(``peek_reuse`` / ``advance_reuse``).
+It is the single implementation both pipeline cores drive.  The core
+hands it per-instruction scalars (PC, static
+:class:`~repro.isa.instruction.Instruction`, predicted direction and
+target, sequence number) and opaque issue-queue entry *handles* -- the
+object core's :class:`~repro.arch.issue_queue.IQEntry` objects, the array
+core's entry-slot ints.  The controller stores handles and gives them
+back through a narrow queue-host interface the core implements in its
+own entry format:
+
+* ``occupancy`` -- occupied issue-queue entries,
+* ``resident(handle)`` -- the handle's entry is still in the queue,
+* ``release(handles)`` -- the revoke sweep over buffered entries
+  (issued ones leave the queue, unissued ones lose their classification
+  bit); returns the number of entries removed.
+
+When reuse is enabled, the core calls in at decode
+(:meth:`~ReuseController.on_decode`), at dispatch (``on_dispatch`` in
+Buffering state, ``on_dispatch_iq_full``) and during misprediction
+recovery (``on_mispredict``).  The Code Reuse dispatch loop
+itself stays in each core's hot path: it walks :attr:`buffered` from
+:attr:`reuse_pointer` and counts :attr:`session_supplied`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.arch.config import MachineConfig
-from repro.arch.dyninst import DynInst
-from repro.arch.issue_queue import IQEntry, IssueQueue
 from repro.arch.stats import PipelineStats
-from repro.core.loop_detector import LoopCandidate, LoopDetector
+from repro.core.loop_detector import LoopDetector
 from repro.core.lrl import LogicalRegisterList
 from repro.core.nblt import NonBufferableLoopTable
 from repro.core.states import IQState, check_transition
+from repro.isa.instruction import Instruction
 
 
 #: Private fault-injection switch for the fuzzer's self-test (see
-#: ``tests/test_fuzz_selftest.py`` and ``docs/fuzzing.md``).  The only
-#: recognised value, ``"skip-lrl-update"``, makes the reuse pointer wrap
-#: to slot 1 instead of slot 0: the first buffered entry's LRL partial
-#: update never happens after the first reused iteration, so the entry
-#: is silently dropped from every subsequent iteration -- an
-#: architecturally visible controller bug the fuzzer must find and
-#: shrink.  Never set outside tests.
+#: ``tests/test_fuzz_selftest.py`` and ``docs/fuzzing.md``), read by both
+#: cores' Code Reuse dispatch loops.  The only recognised value,
+#: ``"skip-lrl-update"``, makes the reuse pointer wrap to slot 1 instead
+#: of slot 0: the first buffered entry's LRL partial update never happens
+#: after the first reused iteration, so the entry is silently dropped
+#: from every subsequent iteration -- an architecturally visible
+#: controller bug the fuzzer must find and shrink.  Never set outside tests.
 _INJECTED_BUG: Optional[str] = None
 
 
@@ -77,30 +93,14 @@ class ControllerEvent:
     supplied: int = 0
 
 
-def timestamped_events(events):
-    """Deprecated ``(cycle, event)`` tuple view of an event list.
-
-    Events carry their own :attr:`ControllerEvent.cycle` now; this shim
-    reproduces the tuple shape the pre-telemetry probes exposed (cycles
-    used to be zipped in externally by each consumer) and will be removed
-    in the next release.
-    """
-    import warnings
-
-    warnings.warn(
-        "timestamped_events() is deprecated: ControllerEvent carries "
-        "its cycle directly (event.cycle)",
-        DeprecationWarning, stacklevel=2)
-    return [(event.cycle, event) for event in events]
-
-
 class ReuseController:
     """State machine and bookkeeping for the reuse-capable issue queue."""
 
-    def __init__(self, config: MachineConfig, iq: IssueQueue,
+    def __init__(self, config: MachineConfig, queue: Any,
                  stats: PipelineStats):
         self.config = config
-        self.iq = iq
+        #: The core's queue host (``occupancy`` / ``resident`` / ``release``).
+        self.queue = queue
         self.stats = stats
         self.enabled = config.reuse_enabled
         self.detector = LoopDetector(config.iq_size)
@@ -112,15 +112,17 @@ class ReuseController:
         # R_loophead / R_looptail
         self.loop_head_pc: Optional[int] = None
         self.loop_tail_pc: Optional[int] = None
-        # buffering bookkeeping
-        self.buffered: List[IQEntry] = []
+        #: Buffered issue-queue entry handles, in program order.
+        self.buffered: List[Any] = []
         self.call_depth = 0
         self.iteration_counter = 0          # instructions in current iteration
         self.last_iteration_size = 0
         self.iterations_buffered = 0
         self.pending_promote = False
-        self._promote_waiting_for: Optional[DynInst] = None
-        # reuse pointer
+        #: Sequence number of the tail whose dispatch engages Code Reuse.
+        self._promote_seq = -1
+        #: Index into :attr:`buffered` of the next entry to re-dispatch
+        #: (advanced by the core's Code Reuse dispatch loop).
         self.reuse_pointer = 0
         self._next_entry_id = 0
         #: Monotonic buffering-session id (guards stale candidates).
@@ -136,8 +138,8 @@ class ReuseController:
         self.transitions: List = []
         #: Decision log for probes (see :class:`ControllerEvent`).
         self.events: List[ControllerEvent] = []
-        #: Current pipeline cycle, written by the pipeline at the top of
-        #: every step so events can stamp the cycle they happened in.
+        #: Current pipeline cycle, written by the core at the top of
+        #: every cycle so events can stamp the cycle they happened in.
         self.now = 0
 
     # -- event log ----------------------------------------------------------
@@ -170,130 +172,145 @@ class ReuseController:
 
     # -- decode-stage hook ------------------------------------------------------
 
-    def on_decode(self, dyn: DynInst) -> None:
-        """Observe one decoded instruction (loop detection + buffering)."""
-        if not self.enabled:
-            return
-        if self.state is IQState.NORMAL:
-            self._try_start_buffering(dyn)
-        elif self.state is IQState.BUFFERING:
-            self._buffering_decode(dyn)
-        # REUSE: decode is gated; nothing should arrive here.
+    def on_decode(self, pc: int, inst: Instruction,
+                  pred_taken: Optional[bool], pred_target: Optional[int],
+                  seq: int) -> Optional[int]:
+        """Observe one decoded instruction (detection + buffering).
 
-    def _try_start_buffering(self, dyn: DynInst) -> None:
-        candidate = self.detector.detect(dyn)
+        ``pred_taken`` / ``pred_target`` are the decode-stage prediction;
+        they only matter for control instructions.  Returns the
+        buffering session the instruction joins as a candidate (the core
+        stores it with the instruction and passes it back at dispatch),
+        or None when it is not a candidate.
+        """
+        state = self.state
+        if state is IQState.NORMAL:
+            self._detect(pc, inst, pred_taken, pred_target)
+        elif state is IQState.BUFFERING and not self.pending_promote:
+            # (once the gate is up, an instruction still in flight through
+            # decode is simply left alone; the core flushes it)
+            return self._buffering_decode(pc, inst, pred_taken,
+                                          pred_target, seq)
+        # REUSE: decode is gated; nothing should arrive here.
+        return None
+
+    def _detect(self, pc: int, inst: Instruction, pred_taken: Optional[bool],
+                pred_target: Optional[int]) -> None:
+        candidate = self.detector.detect(pc, inst, pred_taken)
         if candidate is None:
             return
         self.stats.loop_detections += 1
+        self.stats.nblt_lookups += 1
         if self.nblt.lookup(candidate.tail_pc):
-            self.stats.nblt_lookups += 1
             self.stats.nblt_hits += 1
             return
-        self.stats.nblt_lookups += 1
-        self._start_buffering(candidate)
+        self._start_buffering(candidate.head_pc, candidate.tail_pc)
 
-    def _start_buffering(self, candidate: LoopCandidate) -> None:
+    def _start_buffering(self, head_pc: int, tail_pc: int) -> None:
         self._transition(IQState.BUFFERING, "capturable loop detected")
         self.events.append(ControllerEvent(
             kind="buffer_start",
-            head_pc=candidate.head_pc,
-            tail_pc=candidate.tail_pc,
+            head_pc=head_pc,
+            tail_pc=tail_pc,
             cycle=self.now))
         self.stats.buffering_started += 1
         self.session_id += 1
         self._undispatched_candidates = 0
-        self.loop_head_pc = candidate.head_pc
-        self.loop_tail_pc = candidate.tail_pc
+        self.loop_head_pc = head_pc
+        self.loop_tail_pc = tail_pc
         self.buffered = []
         self.call_depth = 0
         self.iteration_counter = 0
         self.last_iteration_size = 0
         self.iterations_buffered = 0
         self.pending_promote = False
-        self._promote_waiting_for = None
+        self._promote_seq = -1
         self.session_supplied = 0
 
-    def _buffering_decode(self, dyn: DynInst) -> None:
-        if self.pending_promote:
-            # the gate signal is already up; nothing new should be decoded,
-            # but an instruction already in flight through decode this cycle
-            # is simply left alone (it will be flushed by the pipeline)
-            return
-        pc = dyn.pc
+    def _buffering_decode(self, pc: int, inst: Instruction,
+                          pred_taken: Optional[bool],
+                          pred_target: Optional[int],
+                          seq: int) -> Optional[int]:
         if pc == self.loop_tail_pc and self.call_depth == 0:
-            self._iteration_boundary(dyn)
-            return
+            session = self._take_candidate()
+            if not pred_taken:
+                # the loop ends here: execution exits during buffering
+                self._revoke("exit at tail", register_nblt=True)
+                self.stats.revokes_exit += 1
+                return session
+            self._close_iteration(seq)
+            return session
         in_loop = self.loop_head_pc <= pc <= self.loop_tail_pc
         if self.call_depth == 0 and not in_loop:
             self._revoke("exit", register_nblt=True)
             self.stats.revokes_exit += 1
-            return
-        if self.detector.is_loop_ending(dyn):
+            return None
+        if self.detector.is_loop_ending(pc, inst, pred_taken):
             # an inner loop inside the loop being buffered: the current
             # loop is non-bufferable; re-run detection on the inner loop
             self._revoke("inner loop", register_nblt=True)
             self.stats.revokes_inner_loop += 1
-            self._try_start_buffering(dyn)
-            return
-        dyn.buffer_session = self.session_id
-        self._undispatched_candidates += 1
-        self.iteration_counter += 1
-        if dyn.inst.is_call:
+            self._detect(pc, inst, pred_taken, pred_target)
+            return None
+        if inst.is_call:
             self.call_depth += 1
-        elif dyn.inst.is_return and self.call_depth > 0:
+        elif inst.is_return and self.call_depth > 0:
             self.call_depth -= 1
+        return self._take_candidate()
 
-    def _iteration_boundary(self, dyn: DynInst) -> None:
-        dyn.buffer_session = self.session_id
+    def _take_candidate(self) -> int:
+        """Count one decoded candidate; returns the session it joins."""
         self._undispatched_candidates += 1
         self.iteration_counter += 1
-        if not dyn.pred_taken:
-            # the loop ends here: execution exits during buffering
-            self._revoke("exit at tail", register_nblt=True)
-            self.stats.revokes_exit += 1
-            return
+        return self.session_id
+
+    def _close_iteration(self, tail_seq: int) -> None:
+        """An iteration's tail was decoded: keep buffering or promote."""
         self.last_iteration_size = self.iteration_counter
         self.iteration_counter = 0
         self.iterations_buffered += 1
         if self.config.buffering_strategy == "single":
-            self._promote(dyn)
+            self._promote(tail_seq)
             return
         # multi-iteration strategy: keep buffering while the free entries
         # can hold another iteration of the just-observed size; entries
         # already claimed by decoded-but-undispatched candidates count as
         # occupied
-        effective_free = self.iq.free_entries - self._undispatched_candidates
+        effective_free = (self.config.iq_size - self.queue.occupancy
+                          - self._undispatched_candidates)
         if effective_free >= self.last_iteration_size:
             return
-        self._promote(dyn)
+        self._promote(tail_seq)
 
-    def _promote(self, tail_dyn: DynInst) -> None:
+    def _promote(self, tail_seq: int) -> None:
         """Raise the gate; Code Reuse begins once the tail is dispatched."""
         self.pending_promote = True
-        self._promote_waiting_for = tail_dyn
+        self._promote_seq = tail_seq
         self.gated = True
 
     # -- dispatch-stage hooks ----------------------------------------------------
 
-    def on_dispatch(self, dyn: DynInst, entry: Optional[IQEntry]) -> None:
-        """Observe one normally dispatched instruction."""
-        if not self.enabled or self.state is not IQState.BUFFERING:
-            return
-        if dyn.buffer_session == self.session_id and entry is not None:
+    def on_dispatch(self, handle: Any, inst: Instruction,
+                    session: Optional[int], seq: int) -> bool:
+        """Observe one normally dispatched instruction (Buffering state).
+
+        ``session`` is what :meth:`on_decode` returned for the instruction.
+        Returns True when its entry ``handle`` is now buffered: the core
+        then sets the entry's classification bit and records its predicted
+        direction and target for the Code Reuse dispatch.
+        """
+        buffer = session == self.session_id
+        if buffer:
             self._undispatched_candidates -= 1
-            entry.classification = True
-            entry.issue_state = False
             entry_id = self._next_entry_id
             self._next_entry_id += 1
-            self.lrl.record(entry_id, dyn.inst.dest, dyn.inst.srcs)
+            self.lrl.record(entry_id, inst.dest, inst.srcs)
             self.stats.lrl_writes += 1
-            if dyn.is_control:
-                entry.recorded_taken = dyn.pred_taken
-                entry.recorded_target = dyn.pred_target
-            self.buffered.append(entry)
+            self.buffered.append(handle)
             self.stats.buffered_instructions += 1
-        if self.pending_promote and dyn is self._promote_waiting_for:
+        if self.pending_promote and seq == self._promote_seq:
             self._enter_reuse()
+        return buffer
 
     def _enter_reuse(self) -> None:
         self._transition(IQState.REUSE, "buffering finished")
@@ -306,10 +323,10 @@ class ReuseController:
         self.stats.promotions += 1
         self.stats.buffered_iterations += self.iterations_buffered
         self.pending_promote = False
-        self._promote_waiting_for = None
+        self._promote_seq = -1
         self.reuse_pointer = 0
 
-    def on_dispatch_iq_full(self, dyn: DynInst) -> None:
+    def on_dispatch_iq_full(self, session: Optional[int]) -> None:
         """Dispatch stalled on a full issue queue.
 
         During buffering, a full queue only proves the loop does not fit
@@ -319,43 +336,18 @@ class ReuseController:
         procedure call blowing the iteration size).  A queue still holding
         conventional entries merely stalls dispatch until they issue.
         """
-        if not self.enabled or self.state is not IQState.BUFFERING:
+        if self.state is not IQState.BUFFERING or session != self.session_id:
             return
-        if dyn.buffer_session != self.session_id:
-            return
-        resident = sum(1 for entry in self.buffered if entry.in_queue)
-        if resident >= self.iq.occupancy:
+        resident = self.queue.resident
+        count = sum(1 for handle in self.buffered if resident(handle))
+        if count >= self.queue.occupancy:
             self._revoke("issue queue full", register_nblt=True)
             self.stats.revokes_iq_full += 1
 
-    # -- reuse pointer (Code Reuse dispatch source) -------------------------------
-
-    def peek_reuse(self) -> Optional[IQEntry]:
-        """Next buffered entry to re-dispatch, if its issue state bit is set."""
-        if self.state is not IQState.REUSE or not self.buffered:
-            return None
-        entry = self.buffered[self.reuse_pointer]
-        if entry.issue_state:
-            return entry
-        return None
-
-    def advance_reuse(self) -> None:
-        """Advance the reuse pointer (wraps at the last buffered entry)."""
-        self.session_supplied += 1
-        self.reuse_pointer += 1
-        if self.reuse_pointer >= len(self.buffered):
-            if _INJECTED_BUG == "skip-lrl-update" \
-                    and len(self.buffered) > 1:
-                self.reuse_pointer = 1
-                return
-            self.reuse_pointer = 0
-
     # -- recovery -------------------------------------------------------------------
 
-    def on_mispredict(self, dyn: DynInst) -> None:
-        """Misprediction recovery hook (called after the pipeline squash)."""
-        if not self.enabled:
-            return
+    def on_mispredict(self) -> None:
+        """Misprediction recovery hook (called after the core's squash)."""
         if self.state is IQState.BUFFERING:
             self._revoke("mispredict during buffering", register_nblt=False)
             self.stats.revokes_mispredict += 1
@@ -369,7 +361,7 @@ class ReuseController:
         Buffered-and-issued entries leave the queue immediately; buffered
         but not-yet-issued entries merely lose their classification bit (the
         instruction itself must still execute; it is removed at issue like
-        any conventional entry).
+        any conventional entry).  The core's ``release`` does both.
         """
         inserted = register_nblt and self.loop_tail_pc is not None
         self.events.append(ControllerEvent(
@@ -384,21 +376,14 @@ class ReuseController:
         if inserted:
             self.nblt.insert(self.loop_tail_pc)
             self.stats.nblt_inserts += 1
-        for entry in self.buffered:
-            if not entry.in_queue:
-                continue                      # squashed by the recovery
-            if entry.issue_state:
-                self.iq.remove(entry)
-                self.stats.iq_removes += 1
-            else:
-                entry.classification = False
+        self.stats.iq_removes += self.queue.release(self.buffered)
         if self.state is IQState.BUFFERING:
             self.stats.buffering_revokes += 1
         self.buffered = []
         self.lrl.clear()
         self.stats.revokes += 1
         self.pending_promote = False
-        self._promote_waiting_for = None
+        self._promote_seq = -1
         self.gated = False
         self.loop_head_pc = None
         self.loop_tail_pc = None

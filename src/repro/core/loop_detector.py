@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.arch.dyninst import DynInst
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 from repro.isa.program import INSTRUCTION_BYTES
 
@@ -39,37 +39,41 @@ class LoopCandidate:
 
 
 class LoopDetector:
-    """Backward-branch detector with the capturability check."""
+    """Backward-branch detector with the capturability check.
+
+    Takes per-instruction scalars -- the PC, the static instruction and
+    its decode-stage predicted direction -- so both pipeline cores can
+    drive it without building a dynamic-instruction object.
+    """
 
     def __init__(self, iq_capacity: int):
         self.iq_capacity = iq_capacity
-        self.checks = 0
-        self.backward_seen = 0
         self.too_large = 0
 
-    def is_loop_ending(self, dyn: DynInst) -> bool:
+    @staticmethod
+    def is_loop_ending(pc: int, inst: Instruction,
+                       pred_taken: Optional[bool]) -> bool:
         """True for a predicted-taken backward conditional branch or jump."""
-        icls = dyn.inst.op.icls
-        if icls is not InstrClass.BRANCH and icls is not InstrClass.JUMP:
+        # the plain fields first: most decodes fail here without the
+        # (costlier) opcode-class lookup
+        target = inst.target
+        if target is None or target > pc or not pred_taken:
             return False
-        if not dyn.pred_taken:
-            return False
-        target = dyn.inst.target
-        return target is not None and target <= dyn.pc
+        icls = inst.op.icls
+        return icls is InstrClass.BRANCH or icls is InstrClass.JUMP
 
-    def detect(self, dyn: DynInst) -> Optional[LoopCandidate]:
+    def detect(self, pc: int, inst: Instruction,
+               pred_taken: Optional[bool]) -> Optional[LoopCandidate]:
         """Run detection on one decoded instruction.
 
         Returns a :class:`LoopCandidate` when the instruction ends a
         capturable loop, else None.
         """
-        self.checks += 1
-        if not self.is_loop_ending(dyn):
+        if not self.is_loop_ending(pc, inst, pred_taken):
             return None
-        self.backward_seen += 1
-        target = dyn.inst.target
-        size = (dyn.pc - target) // INSTRUCTION_BYTES + 1
+        target = inst.target
+        size = (pc - target) // INSTRUCTION_BYTES + 1
         if size > self.iq_capacity:
             self.too_large += 1
             return None
-        return LoopCandidate(head_pc=target, tail_pc=dyn.pc, size=size)
+        return LoopCandidate(head_pc=target, tail_pc=pc, size=size)

@@ -208,17 +208,30 @@ def _match(segments: Tuple[str, ...],
     return params
 
 
-async def read_request(reader: asyncio.StreamReader,
-                       client: str = "") -> Optional[Request]:
-    """Parse one request off a connection; None on clean EOF."""
+async def read_request_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """Wait for the next request line; None on clean EOF."""
     try:
-        request_line = await reader.readuntil(b"\r\n")
+        return await reader.readuntil(b"\r\n")
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None  # connection closed between requests
         raise HttpError(400, "truncated request line")
     except asyncio.LimitOverrunError:
         raise HttpError(400, "request line too long")
+
+
+async def read_request(reader: asyncio.StreamReader,
+                       client: str = "") -> Optional[Request]:
+    """Parse one request off a connection; None on clean EOF."""
+    request_line = await read_request_line(reader)
+    if request_line is None:
+        return None
+    return await read_request_rest(reader, request_line, client)
+
+
+async def read_request_rest(reader: asyncio.StreamReader, request_line: bytes,
+                            client: str = "") -> Request:
+    """Parse the request whose line :func:`read_request_line` returned."""
     if len(request_line) > MAX_REQUEST_LINE:
         raise HttpError(400, "request line too long")
     try:
@@ -347,16 +360,23 @@ class HttpServer:
                                  writer: asyncio.StreamWriter) -> None:
         peer = writer.get_extra_info("peername")
         client = peer[0] if isinstance(peer, tuple) else str(peer)
+        clock = asyncio.get_event_loop().time
         try:
             keep_alive = True
             while keep_alive:
                 route = "?"
                 request: Optional[Request] = None
-                start = asyncio.get_event_loop().time()
+                start: Optional[float] = None
                 try:
-                    request = await read_request(reader, client=client)
-                    if request is None:
+                    # a keep-alive connection idles here between requests;
+                    # that wait is not handling time, so the clock starts
+                    # once the request line has arrived
+                    request_line = await read_request_line(reader)
+                    start = clock()
+                    if request_line is None:
                         break
+                    request = await read_request_rest(reader, request_line,
+                                                      client)
                     keep_alive = request.headers.get(
                         "connection", "keep-alive").lower() != "close"
                     handler, params, route = self.router.resolve(
@@ -372,10 +392,10 @@ class HttpServer:
                     response = HttpError(
                         500, f"internal error: {exc}").to_response()
                 if self.observer is not None:
-                    self.observer(
-                        route, response.status,
-                        asyncio.get_event_loop().time() - start,
-                        request)
+                    # a request line too malformed to read is answered on
+                    # arrival
+                    seconds = 0.0 if start is None else clock() - start
+                    self.observer(route, response.status, seconds, request)
                 keep_alive = await write_response(writer, response,
                                                   keep_alive)
         except (ConnectionError, BrokenPipeError):

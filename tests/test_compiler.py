@@ -19,6 +19,7 @@ from repro.compiler.ir import (
 from repro.compiler.loop_distribution import (
     distribute_kernel,
     distribute_loop,
+    ordered_components,
 )
 from repro.compiler.passes import PassPipeline, build_program
 from repro.isa.interpreter import run_program
@@ -261,6 +262,26 @@ class TestLoopDistribution:
         ])
         loops = distribute_loop(loop)
         assert len(loops) == 2
+
+    def test_component_order_breaks_ties_by_program_order(self):
+        # edges 0->4, 1->2, 2->3: any topological order is legal; the
+        # pass pins the one that emits the lowest ready statement first
+        assert ordered_components([[4], [2], [3], [], []]) == [
+            [0], [1], [2], [3], [4]]
+        loop = Loop("i", 0, 8, [
+            Assign(Ref("d0", idx("i")), Ref("s", idx("i"))),
+            Assign(Ref("t1", idx("i")), Ref("s", idx("i"))),
+            Assign(Ref("t2", idx("i")), Ref("t1", idx("i"))),
+            Assign(Ref("t3", idx("i")), Ref("t2", idx("i"))),
+            Assign(Ref("d4", idx("i")), Ref("d0", idx("i"))),
+        ])
+        written = [l.body[0].array_written() for l in distribute_loop(loop)]
+        assert written == ["d0", "t1", "t2", "t3", "d4"]
+
+    def test_components_group_cycles_and_respect_edges(self):
+        # 0<->2 form one component that must follow 1 (1->0) and precede 3
+        order = ordered_components([[2, 3], [0], [0], []])
+        assert order == [[1], [0, 2], [3]]
 
     def test_call_blocks_distribution(self):
         loop = Loop("i", 0, 8, [

@@ -23,11 +23,15 @@ def control_dyn(op, pc, target, pred_taken=True, rs=8, rt=0):
     return dyn
 
 
+def detect(detector, dyn):
+    return detector.detect(dyn.pc, dyn.inst, dyn.pred_taken)
+
+
 class TestLoopDetector:
     def test_detects_backward_branch(self):
         detector = LoopDetector(64)
         dyn = control_dyn(Opcode.BNE, pc=0x400040, target=0x400020)
-        candidate = detector.detect(dyn)
+        candidate = detect(detector, dyn)
         assert candidate is not None
         assert candidate.head_pc == 0x400020
         assert candidate.tail_pc == 0x400040
@@ -36,41 +40,41 @@ class TestLoopDetector:
     def test_detects_backward_direct_jump(self):
         detector = LoopDetector(64)
         dyn = control_dyn(Opcode.J, pc=0x400040, target=0x400020)
-        assert detector.detect(dyn) is not None
+        assert detect(detector, dyn) is not None
 
     def test_ignores_forward_branch(self):
         detector = LoopDetector(64)
         dyn = control_dyn(Opcode.BNE, pc=0x400020, target=0x400040)
-        assert detector.detect(dyn) is None
+        assert detect(detector, dyn) is None
 
     def test_ignores_predicted_not_taken(self):
         detector = LoopDetector(64)
         dyn = control_dyn(Opcode.BNE, pc=0x400040, target=0x400020,
                           pred_taken=False)
-        assert detector.detect(dyn) is None
+        assert detect(detector, dyn) is None
 
     def test_ignores_calls_and_indirect(self):
         detector = LoopDetector(64)
-        assert detector.detect(
-            control_dyn(Opcode.JAL, pc=0x400040, target=0x400020)) is None
+        assert detect(detector, control_dyn(
+            Opcode.JAL, pc=0x400040, target=0x400020)) is None
         jr = Instruction(Opcode.JR, rs=31)
         jr.pc = 0x400040
         dyn = DynInst(1, jr, jr.pc)
         dyn.pred_taken = True
-        assert detector.detect(dyn) is None
+        assert detect(detector, dyn) is None
 
     def test_capturability_bound_is_iq_size(self):
         detector = LoopDetector(8)
         fits = control_dyn(Opcode.BNE, pc=0x40001C, target=0x400000)  # 8
-        assert detector.detect(fits) is not None
+        assert detect(detector, fits) is not None
         toobig = control_dyn(Opcode.BNE, pc=0x400020, target=0x400000)  # 9
-        assert detector.detect(toobig) is None
+        assert detect(detector, toobig) is None
         assert detector.too_large == 1
 
     def test_single_instruction_self_loop(self):
         detector = LoopDetector(8)
         dyn = control_dyn(Opcode.BNE, pc=0x400000, target=0x400000)
-        candidate = detector.detect(dyn)
+        candidate = detect(detector, dyn)
         assert candidate is not None
         assert candidate.size == 1
 
@@ -80,7 +84,7 @@ class TestLoopDetector:
         inst.pc = 0x400040
         dyn = DynInst(1, inst, inst.pc)
         dyn.pred_taken = None
-        assert detector.detect(dyn) is None
+        assert detect(detector, dyn) is None
 
 
 class TestNblt:

@@ -30,8 +30,8 @@ from repro.workloads.suite import BENCHMARK_NAMES
 
 IQ_SIZES = (32, 64, 96, 128)
 
-#: (kernel, iq, reuse_mode) -> (record JSON, stats dict) of the object
-#: core.
+#: (kernel, iq, reuse_mode) -> (record JSON, stats dict, controller
+#: decisions) of the object core.
 _OBJECT_RUNS = {}
 
 
@@ -57,19 +57,28 @@ def _object_run(suite, kernel: str, iq: int, reuse_mode: str = "loop"):
         pipeline = _finished(Pipeline, suite.program(kernel),
                              _grid_config(iq, reuse_mode))
         _OBJECT_RUNS[key] = (_export(pipeline),
-                             pipeline.stats.as_dict())
+                             pipeline.stats.as_dict(),
+                             _decisions(pipeline))
     return _OBJECT_RUNS[key]
+
+
+def _decisions(pipeline):
+    """The controller's event log and transition log."""
+    controller = pipeline.controller
+    return list(controller.events), list(controller.transitions)
 
 
 @pytest.mark.parametrize("iq", IQ_SIZES)
 @pytest.mark.parametrize("kernel", BENCHMARK_NAMES)
 def test_engines_bit_exact(suite, kernel, iq):
-    """Byte-identical records and identical counters on the full grid."""
-    want_record, want_stats = _object_run(suite, kernel, iq)
+    """Byte-identical records, identical counters and identical
+    controller decisions on the full grid."""
+    want_record, want_stats, want_decisions = _object_run(suite, kernel, iq)
     pipeline = _finished(FastPipeline, suite.program(kernel),
                          _grid_config(iq))
     assert _export(pipeline) == want_record
     assert pipeline.stats.as_dict() == want_stats
+    assert _decisions(pipeline) == want_decisions
 
 
 @pytest.mark.parametrize("iq", IQ_SIZES)
@@ -78,11 +87,13 @@ def test_engines_bit_exact_trace_mode(suite, kernel, iq):
     """The trace-reuse controller holds the same bit-exactness contract
     as the loop controller: byte-identical records and identical
     counters on the full kernel x IQ grid under ``--reuse trace``."""
-    want_record, want_stats = _object_run(suite, kernel, iq, "trace")
+    want_record, want_stats, want_decisions = _object_run(
+        suite, kernel, iq, "trace")
     pipeline = _finished(FastPipeline, suite.program(kernel),
                          _grid_config(iq, "trace"))
     assert _export(pipeline) == want_record
     assert pipeline.stats.as_dict() == want_stats
+    assert _decisions(pipeline) == want_decisions
 
 
 def test_both_cores_satisfy_the_interface(suite):
@@ -123,7 +134,7 @@ def test_probe_fallback_keeps_observers_working(suite):
     core transparently: the probe fires and the record stays identical."""
     program = suite.program("tsf")
     config = _grid_config(32)
-    want_record, want_stats = _object_run(suite, "tsf", 32)
+    want_record, want_stats, _ = _object_run(suite, "tsf", 32)
     probe = _CycleCounter()
     pipeline = FastPipeline(program, config)
     pipeline.attach_probe(probe)

@@ -81,23 +81,6 @@ class TestFastPath:
 
 
 class TestTracerAsProbe:
-    def test_attach_probe_equals_tracer_kwarg(self):
-        program = assemble(LOOP, name="probed")
-        config = MachineConfig().with_iq_size(32).replace(
-            reuse_enabled=True)
-        via_kwarg = PipelineTracer()
-        legacy = Pipeline(program, config, tracer=via_kwarg)
-        legacy.run()
-        via_attach = PipelineTracer()
-        modern = Pipeline(program, config)
-        modern.attach_probe(via_attach)
-        modern.run()
-        assert len(via_attach.traces) == len(via_kwarg.traces)
-        for seq, trace in via_kwarg.traces.items():
-            other = via_attach.traces[seq]
-            assert other.events == trace.events
-            assert other.squashed == trace.squashed
-
     def test_tracer_property_finds_attached_tracer(self):
         pipeline = make_pipeline()
         assert pipeline.tracer is None

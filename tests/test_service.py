@@ -21,7 +21,14 @@ from repro.service.app import (
     parse_sweep_request,
     sweep_id_for,
 )
-from repro.service.http import HttpError, Request, Router, read_request
+from repro.service.http import (
+    HttpError,
+    HttpServer,
+    Request,
+    Response,
+    Router,
+    read_request,
+)
 from repro.service.jobqueue import JobQueue, JobSpec, shard_of
 from repro.service.ratelimit import RateLimiter
 
@@ -279,6 +286,42 @@ class TestHttpParsing:
         with pytest.raises(HttpError) as excinfo:
             _parse(raw)
         assert excinfo.value.status == 413
+
+
+class TestServerTiming:
+    def test_keep_alive_idle_time_is_not_request_time(self):
+        # a keep-alive client that idles between requests: the gap before
+        # the second request line is not part of its handling time
+        observed = []
+
+        async def ping(request):
+            return Response.text("pong")
+
+        async def exchange(reader, writer):
+            writer.write(b"GET /ping HTTP/1.1\r\nHost: h\r\n\r\n")
+            await writer.drain()
+            await reader.readuntil(b"\r\n\r\n")
+            await reader.readexactly(4)
+
+        async def scenario():
+            router = Router()
+            router.add("GET", "/ping", ping)
+            server = HttpServer(router, observer=lambda route, status,
+                                seconds, request: observed.append(seconds))
+            host, port = await server.start("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                await exchange(reader, writer)
+                await asyncio.sleep(0.3)
+                await exchange(reader, writer)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+
+        asyncio.run(scenario())
+        assert len(observed) == 2
+        assert observed[1] < 0.3
 
 
 class TestRouter:

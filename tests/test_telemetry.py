@@ -19,7 +19,6 @@ import json
 import pytest
 
 from repro.arch.config import MachineConfig
-from repro.core.controller import ControllerEvent, timestamped_events
 from repro.isa.assembler import assemble
 from repro.sim.simulator import run_timing, simulate
 from repro.telemetry import (
@@ -212,13 +211,6 @@ class TestControllerEventCycles:
         # a drained cursor yields nothing and does not move
         again, cursor2 = pipeline.controller.iter_events_since(cursor)
         assert again == () and cursor2 == cursor
-
-    def test_timestamped_events_shim_warns(self):
-        event = ControllerEvent(kind="promote", head_pc=None,
-                                tail_pc=None, cycle=7)
-        with pytest.deprecated_call():
-            pairs = timestamped_events([event])
-        assert pairs == [(7, event)]
 
 
 class TestTimeline:

@@ -23,7 +23,8 @@ def traced_run(source=LOOP, reuse=False, capacity=5000):
     program = assemble(source, name="traced")
     tracer = PipelineTracer(capacity=capacity)
     config = MachineConfig().with_iq_size(32).replace(reuse_enabled=reuse)
-    pipeline = Pipeline(program, config, tracer=tracer)
+    pipeline = Pipeline(program, config)
+    pipeline.attach_probe(tracer)
     pipeline.run()
     return pipeline, tracer
 
@@ -124,7 +125,8 @@ class TestCapacity:
             reuse_enabled=True)
         plain = Pipeline(program, config)
         plain.run()
-        traced = Pipeline(program, config, tracer=PipelineTracer())
+        traced = Pipeline(program, config)
+        traced.attach_probe(PipelineTracer())
         traced.run()
         assert plain.stats.cycles == traced.stats.cycles
         assert plain.stats.committed == traced.stats.committed

@@ -12,6 +12,7 @@ and ``test_controller_torture.py`` for the loop controller.
 import pytest
 
 from repro.arch.config import MachineConfig
+from repro.arch.fastcore import FastPipeline
 from repro.arch.pipeline import Pipeline
 from repro.arch.validate import run_validated
 from repro.core import CONTROLLERS, ReuseController, controller_for
@@ -28,16 +29,31 @@ def trace_config(iq_size=32, **kwargs):
         reuse_enabled=True, reuse_mode="trace", **kwargs)
 
 
-def run_trace(source, iq_size=32, validate=False, **config_kwargs):
+def run_trace(source, iq_size=32, validate=False, engine="object",
+              **config_kwargs):
+    """Run ``source`` under the trace controller, checked against the
+    oracle.  The object core runs (validated on request) in every case;
+    ``engine="array"`` also runs the array core, requires it to agree
+    with the object core counter for counter and decision for decision,
+    and returns it."""
     program = assemble(source, name="trace-t")
     oracle = run_program(program)
-    pipeline = Pipeline(program, trace_config(iq_size, **config_kwargs))
+    config = trace_config(iq_size, **config_kwargs)
+    pipeline = Pipeline(program, config)
     if validate:
         run_validated(pipeline, every=4)
     else:
         pipeline.run()
     assert_matches_oracle(pipeline, oracle)
-    return pipeline
+    if engine == "object":
+        return pipeline
+    fast = FastPipeline(program, config)
+    fast.run()
+    assert_matches_oracle(fast, oracle)
+    assert fast.stats.as_dict() == pipeline.stats.as_dict()
+    assert fast.controller.events == pipeline.controller.events
+    assert fast.controller.transitions == pipeline.controller.transitions
+    return fast
 
 
 def counted_loop(body_lines, trips, label="top", counter="$s0",
@@ -133,6 +149,13 @@ class TestControllerRegistry:
         controller = Pipeline(program, loop_cfg).controller
         assert type(controller) is ReuseController
 
+    @pytest.mark.parametrize("mode", sorted(CONTROLLERS))
+    def test_array_core_constructs_the_same_controller(self, mode):
+        program = assemble(SIMPLE_LOOP, name="sel")
+        config = trace_config().replace(reuse_mode=mode)
+        controller = FastPipeline(program, config).controller
+        assert type(controller) is controller_for(config.reuse_mode)
+
 
 # -- the trace-head table ---------------------------------------------------
 
@@ -180,8 +203,10 @@ class TestTraceHeadTable:
 
 
 class TestHappyPath:
+    engine = "object"
+
     def test_full_state_cycle(self):
-        pipeline = run_trace(SIMPLE_LOOP)
+        pipeline = run_trace(SIMPLE_LOOP, engine=self.engine)
         stats = pipeline.stats
         assert stats.trace_detections >= 1
         assert stats.tht_lookups >= 1
@@ -195,7 +220,7 @@ class TestHappyPath:
         assert not pipeline.controller.gated
 
     def test_transition_sequence(self):
-        pipeline = run_trace(SIMPLE_LOOP)
+        pipeline = run_trace(SIMPLE_LOOP, engine=self.engine)
         names = [(old.name, new.name)
                  for old, new, _ in pipeline.controller.transitions]
         assert ("NORMAL", "BUFFERING") in names
@@ -210,7 +235,7 @@ class TestHappyPath:
         # nothing ever supplied -- and the state stays exact.
         body = ["addiu $t2, $t2, 7"]
         source = ".text\n" + "\n".join(counted_loop(body, 2)) + "\nhalt\n"
-        pipeline = run_trace(source)
+        pipeline = run_trace(source, engine=self.engine)
         assert pipeline.stats.tht_lookups >= 2      # visits 2 and 3
         assert pipeline.stats.promotions == 0
         assert pipeline.stats.reuse_supplied == 0
@@ -218,13 +243,13 @@ class TestHappyPath:
 
     def test_supply_contribution_buckets_sum_to_supplied(self):
         from repro.arch.stats import REUSE_TYPE_BUCKETS
-        stats = run_trace(SIMPLE_LOOP).stats
+        stats = run_trace(SIMPLE_LOOP, engine=self.engine).stats
         total = sum(getattr(stats, f"reuse_supplied_{bucket}")
                     for bucket in REUSE_TYPE_BUCKETS)
         assert total == stats.reuse_supplied > 0
 
     def test_event_stream_contract(self):
-        events = run_trace(SIMPLE_LOOP).controller.events
+        events = run_trace(SIMPLE_LOOP, engine=self.engine).controller.events
         kinds = {event.kind for event in events}
         assert {"buffer_start", "promote"} <= kinds
         cycles = [event.cycle for event in events]
@@ -255,9 +280,12 @@ class TestBeyondTheLoopController:
 
 
 class TestSignatureDivergence:
+    engine = "object"
+
     def test_divergence_revokes_and_stays_exact(self):
         source = ".text\n" + "\n".join(diverging_loop()) + "\nhalt\n"
-        pipeline = run_trace(source, validate=True, bpred_kind="gshare")
+        pipeline = run_trace(source, validate=True, bpred_kind="gshare",
+                             engine=self.engine)
         stats = pipeline.stats
         assert stats.buffering_started >= 1
         assert stats.revokes_divergence >= 1
@@ -267,7 +295,7 @@ class TestSignatureDivergence:
 
     def test_divergence_registers_the_nblt(self):
         source = ".text\n" + "\n".join(diverging_loop()) + "\nhalt\n"
-        pipeline = run_trace(source, bpred_kind="gshare")
+        pipeline = run_trace(source, bpred_kind="gshare", engine=self.engine)
         nblt_inserts = [event for event in pipeline.controller.events
                         if event.kind == "revoke" and event.nblt_insert]
         assert nblt_inserts
@@ -278,13 +306,15 @@ class TestSignatureDivergence:
         # while buffering: the classic exit-at-tail revoke
         body = ["addiu $t2, $t2, 7", "sll $t3, $t2, 1"]
         source = ".text\n" + "\n".join(counted_loop(body, 4)) + "\nhalt\n"
-        pipeline = run_trace(source)
+        pipeline = run_trace(source, engine=self.engine)
         assert pipeline.stats.revokes_exit + \
             pipeline.stats.revokes_mispredict >= 1
         assert pipeline.controller.state is IQState.NORMAL
 
 
 class TestNbltFifoAgeing:
+    engine = "object"
+
     def test_more_diverging_traces_than_nblt_entries(self):
         # twelve distinct divergence-prone loops cycle the 8-entry FIFO
         chunks = []
@@ -292,23 +322,26 @@ class TestNbltFifoAgeing:
             chunks.append("\n".join(diverging_loop(
                 index=index, trips=48, counter="$s4", bound="$s5")))
         source = ".text\n" + "\n".join(chunks) + "\nhalt\n"
-        pipeline = run_trace(source, iq_size=32, bpred_kind="gshare")
+        pipeline = run_trace(source, iq_size=32, bpred_kind="gshare",
+                             engine=self.engine)
         nblt = pipeline.controller.nblt
         assert nblt.inserts >= 8
         assert len(nblt) <= 8                      # FIFO stayed bounded
 
     def test_nblt_disabled_still_exact(self):
         source = ".text\n" + "\n".join(diverging_loop()) + "\nhalt\n"
-        run_trace(source, nblt_size=0, bpred_kind="gshare")
+        run_trace(source, nblt_size=0, bpred_kind="gshare", engine=self.engine)
 
 
 class TestIqOverflowAbort:
+    engine = "object"
+
     def test_dynamic_path_over_queue_size_never_buffers(self):
         # 14 body + 3 overhead = 17 > 16: the observation window hits
         # the IQ bound and is abandoned before any buffering starts
         body = [f"addiu $t{i % 8}, $t{i % 8}, 1" for i in range(14)]
         source = ".text\n" + "\n".join(counted_loop(body, 30)) + "\nhalt\n"
-        pipeline = run_trace(source, iq_size=16)
+        pipeline = run_trace(source, iq_size=16, engine=self.engine)
         assert pipeline.stats.buffering_started == 0
         assert pipeline.stats.gated_cycles == 0
 
@@ -331,13 +364,13 @@ class TestIqOverflowAbort:
         {leaf}
             jr $ra
         """
-        pipeline = run_trace(source, iq_size=16)
+        pipeline = run_trace(source, iq_size=16, engine=self.engine)
         assert pipeline.stats.buffering_started == 0
 
     def test_path_exactly_queue_size_still_captures(self):
         body = [f"addiu $t{i % 8}, $t{i % 8}, 1" for i in range(13)]
         source = ".text\n" + "\n".join(counted_loop(body, 30)) + "\nhalt\n"
-        pipeline = run_trace(source, iq_size=16)
+        pipeline = run_trace(source, iq_size=16, engine=self.engine)
         assert pipeline.stats.buffering_started >= 1
 
 
@@ -345,12 +378,14 @@ class TestIqOverflowAbort:
 
 
 class TestTripCountPhases:
+    engine = "object"
+
     @pytest.mark.parametrize("trips", [1, 2, 3, 4, 5, 8, 13])
     def test_every_small_trip_count(self, trips):
         body = ["addiu $t2, $t2, 7", "sll $t3, $t2, 1"]
         source = ".text\n" + "\n".join(counted_loop(body, trips)) \
             + "\nhalt\n"
-        run_trace(source, iq_size=16, validate=True)
+        run_trace(source, iq_size=16, validate=True, engine=self.engine)
 
     def test_nested_loops_stay_exact(self):
         inner = counted_loop(["addiu $t2, $t2, 1"], 6, label="in0",
@@ -358,7 +393,8 @@ class TestTripCountPhases:
         outer = counted_loop(inner, 4, label="out0", counter="$s2",
                              bound="$s3")
         source = ".text\n" + "\n".join(outer) + "\nhalt\n"
-        pipeline = run_trace(source, iq_size=32, validate=True)
+        pipeline = run_trace(source, iq_size=32, validate=True,
+                             engine=self.engine)
         assert pipeline.stats.trace_detections >= 1
 
 
@@ -373,3 +409,28 @@ class TestCrosscheck:
         report = crosscheck(suite.program("tsf"), trace_config(32),
                             engine=engine)
         assert report.ok, [v.message for v in report.violations]
+
+
+# -- the same state-machine grid on the array core --------------------------
+# (separate classes rather than a parametrization, so the object-core test
+# ids stay stable; each array run must also equal its object-core run)
+
+
+class TestHappyPathArray(TestHappyPath):
+    engine = "array"
+
+
+class TestSignatureDivergenceArray(TestSignatureDivergence):
+    engine = "array"
+
+
+class TestNbltFifoAgeingArray(TestNbltFifoAgeing):
+    engine = "array"
+
+
+class TestIqOverflowAbortArray(TestIqOverflowAbort):
+    engine = "array"
+
+
+class TestTripCountPhasesArray(TestTripCountPhases):
+    engine = "array"
